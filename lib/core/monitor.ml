@@ -98,6 +98,11 @@ type t = {
   mutable on_replica : (key:string -> value:int -> unit) option;
   mutable mesh : t array;  (* all monitors, indexed by core; set by [connect] *)
   inbox : Sync.Semaphore.t;
+  (* Host-side ready set over the n-1 incoming mesh channels, in scan
+     order ([notify_incoming]): bit j is set exactly when incoming channel
+     j has a pending message. Set by the channel's notify callback,
+     cleared by [run_loop] when a receive empties the channel. *)
+  ready : Bitset.t;
   mutable scan_idx : int;
   mutable next_seq : int;
   fans : (int, fan_state) Hashtbl.t;
@@ -138,6 +143,9 @@ let create m driver =
     on_replica = None;
     mesh = [||];
     inbox = Sync.Semaphore.create 0;
+    (* A single-core machine has no incoming channels; [Bitset.create]
+       needs one bit, which then never gets set. *)
+    ready = Bitset.create ~n:(max 1 (Machine.n_cores m - 1));
     scan_idx = 0;
     next_seq = 0;
     fans = Hashtbl.create 8;
@@ -165,6 +173,17 @@ let fresh_xid t =
   x
 
 let origin_of_xid xid = xid / 1_000_000
+
+exception Dispatch_invariant of int
+
+(* A message became visible on the channel [src] -> [mon]: mark it ready
+   and wake the event loop. [mon]'s incoming channels are in sender order
+   with its own core skipped. *)
+let notify_incoming mon ~src =
+  let j = if src < mon.core_id then src else src - 1 in
+  fun () ->
+    Bitset.add mon.ready j;
+    Sync.Semaphore.release mon.inbox
 
 (* A mesh edge's reserved buffers are 21 contiguous lines: a 16-slot ring
    and the 2-line send / 3-line recv control blocks ([Urpc.preallocate]'s
@@ -231,12 +250,12 @@ let chan_to t dst =
                         ~send_base:mdst.rx_send_base.(src)
                         ~recv_base:mdst.rx_recv_base.(src) ()
                     in
-                    Urpc.set_notify rx (fun () -> Sync.Semaphore.release mdst.inbox);
+                    Urpc.set_notify rx (notify_incoming mdst ~src);
                     mdst.rx_peers.(src) <- Some rx;
                     rx
                 in
                 Urpc.deliver_remote rx payload))
-      | _ -> Urpc.set_notify ch (fun () -> Sync.Semaphore.release mdst.inbox));
+      | _ -> Urpc.set_notify ch (notify_incoming mdst ~src:t.core_id));
       t.peers.(dst) <- Some ch;
       ch
     end
@@ -438,19 +457,25 @@ let handle t msg =
   | Wake { domid } ->
     (match Hashtbl.find_opt t.wakers domid with Some w -> w () | None -> ())
 
+(* Since a bit is set exactly when its channel has a pending message,
+   this is the channel a round-robin poll from [from] would find first. *)
+let next_ready ready ~from =
+  let j = Bitset.next_member ready from in
+  if j >= 0 then j else Bitset.next_member ready 0
+
 (* The monitor's event loop: one schedulable task multiplexing all incoming
    channels. A semaphore counts visible messages across channels, so the
    simulated monitor only runs when there is work — the real system's poll
-   loop cost is approximated by a per-message scan charge. *)
+   loop cost is approximated by a per-message scan charge. On the host the
+   ready set finds the next channel in O(words), not O(cores). *)
 let run_loop t =
   let n = Array.length t.mesh - 1 in
-  (* Incoming channels in sender order (the scan order), resolved through
-     the senders' peer tables: an edge nobody has sent on yet is simply
-     not materialized, which for the scan is the same as empty. A
-     cross-shard edge must NOT be resolved through the sender (that would
-     read another shard's state mid-window): its receiver half lives in
-     our own [rx_peers], reserved at connect time ([rx_slot_base] >= 0)
-     and materialized by the first arriving message. *)
+  (* Incoming channel [j] in scan order, resolved through the sender's
+     peer table. A cross-shard edge must NOT be resolved through the
+     sender (that would read another shard's state mid-window): its
+     receiver half lives in our own [rx_peers], reserved at connect time
+     ([rx_slot_base] >= 0) and materialized by the first arriving
+     message. *)
   let in_chan j =
     let src = if j < t.core_id then j else j + 1 in
     match if Array.length t.rx_peers = 0 then None else t.rx_peers.(src) with
@@ -458,15 +483,6 @@ let run_loop t =
     | None ->
       if Array.length t.rx_slot_base > 0 && t.rx_slot_base.(src) >= 0 then None
       else t.mesh.(src).peers.(t.core_id)
-  in
-  let rec next_msg scanned idx =
-    if scanned > n then None
-    else
-      match in_chan (idx mod n) with
-      | Some ch when Urpc.pending ch > 0 ->
-        t.scan_idx <- (idx + 1) mod n;
-        Some (Urpc.recv ch)
-      | _ -> next_msg (scanned + 1) (idx + 1)
   in
   let rec loop () =
     let idle_from = Engine.now_ () in
@@ -482,9 +498,17 @@ let run_loop t =
       Engine.wait wakeup_cost
     end;
     Engine.wait poll_scan_cost;
-    (match next_msg 0 t.scan_idx with
-     | Some msg -> handle t msg
-     | None -> ());
+    (* Every permit but [kill]'s stands for one visible message, so a
+       permit with nothing ready is a lost or spurious wakeup. *)
+    let j = next_ready t.ready ~from:t.scan_idx in
+    if j < 0 then raise (Dispatch_invariant t.core_id);
+    (match in_chan j with
+     | Some ch when Urpc.pending ch > 0 ->
+       t.scan_idx <- (j + 1) mod n;
+       let msg = Urpc.recv ch in
+       if Urpc.pending ch = 0 then Bitset.remove t.ready j;
+       handle t msg
+     | _ -> raise (Dispatch_invariant t.core_id));
     loop ()
   in
   loop ()

@@ -130,6 +130,18 @@ val peer_suspected : t -> core:int -> bool
 val dead_replica_key : int -> string
 (** Replica key under which a core's death is announced mesh-wide. *)
 
+exception Dispatch_invariant of int
+(** Raised by a monitor's event loop (the argument is its core) when it
+    holds an inbox permit but its ready set names no channel with a
+    pending message: a lost or spurious wakeup, which aborts the run. *)
+
+val next_ready : Mk_hw.Bitset.t -> from:int -> int
+(** The event loop's dispatch pick over a ready set of incoming channels
+    (bit [j] set iff channel [j] in scan order has a pending message): the
+    first member at or after [from], wrapping once to the first member
+    overall; [-1] when the set is empty. Exposed for testing; it picks the
+    channel a round-robin poll of every channel from [from] would. *)
+
 val handle_cost : int
 (** Monitor event-loop cycles charged per handled message. *)
 

@@ -51,19 +51,42 @@ let cardinal t =
   done;
   !count
 
+(* Index of the lowest set bit of a non-zero word (words hold 32 bits):
+   five halving steps, no allocation. *)
+let lowest_bit w =
+  let w = ref w and n = ref 0 in
+  if !w land 0xFFFF = 0 then begin w := !w lsr 16; n := 16 end;
+  if !w land 0xFF = 0 then begin w := !w lsr 8; n := !n + 8 end;
+  if !w land 0xF = 0 then begin w := !w lsr 4; n := !n + 4 end;
+  if !w land 0x3 = 0 then begin w := !w lsr 2; n := !n + 2 end;
+  if !w land 0x1 = 0 then !n + 1 else !n
+
 (* Members in ascending order: peel the lowest set bit of each word. *)
 let iter f t =
   for k = 0 to Array.length t.words - 1 do
     let w = ref t.words.(k) in
     let base = k * bits_per_word in
     while !w <> 0 do
-      let low = !w land - !w in
-      (* log2 of an isolated 32-bit-range bit *)
-      let rec bitpos b acc = if b = 1 then acc else bitpos (b lsr 1) (acc + 1) in
-      f (base + bitpos low 0);
+      f (base + lowest_bit !w);
       w := !w land (!w - 1)
     done
   done
+
+(* First non-empty word at or after [k]; top-level rather than a local
+   closure so a lookup allocates nothing. *)
+let rec first_from words k =
+  if k = Array.length words then -1
+  else if words.(k) = 0 then first_from words (k + 1)
+  else (k * bits_per_word) + lowest_bit words.(k)
+
+let next_member t i =
+  if i < 0 then invalid_arg (Printf.sprintf "Bitset.next_member: negative index %d" i);
+  let k = word_of i in
+  if k >= Array.length t.words then -1
+  else
+    (* Drop the members of word [k] below [i]. *)
+    let w = t.words.(k) land (-1 lsl (i land 31)) in
+    if w <> 0 then (k * bits_per_word) + lowest_bit w else first_from t.words (k + 1)
 
 let fold f init t =
   let acc = ref init in
@@ -73,16 +96,8 @@ let fold f init t =
 let to_list t = List.rev (fold (fun acc i -> i :: acc) [] t)
 
 let choose t =
-  let rec go k =
-    if k = Array.length t.words then raise Not_found
-    else if t.words.(k) = 0 then go (k + 1)
-    else begin
-      let low = t.words.(k) land -t.words.(k) in
-      let rec bitpos b acc = if b = 1 then acc else bitpos (b lsr 1) (acc + 1) in
-      (k * bits_per_word) + bitpos low 0
-    end
-  in
-  go 0
+  let i = first_from t.words 0 in
+  if i < 0 then raise Not_found else i
 
 let copy t = { words = Array.copy t.words; nbits = t.nbits }
 

@@ -4,7 +4,8 @@
     allocation, sized at creation for the machine's core count (≥128 cores
     is 4 words). Used by {!Coherence} for cache-line sharer sets, where the
     previous [int list] representation made hot-path lookups O(sharers)
-    with a cons per insert. *)
+    with a cons per insert, and by each monitor's ready set of incoming
+    channels. *)
 
 type t
 
@@ -32,6 +33,11 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val to_list : t -> int list
 (** Ascending. *)
+
+val next_member : t -> int -> int
+(** [next_member t i] is the smallest member [>= i], or [-1] when there is
+    none (including [i >= capacity]). Allocation-free; skips empty words
+    a word at a time. Raises [Invalid_argument] when [i < 0]. *)
 
 val choose : t -> int
 (** Smallest member. Raises [Not_found] when empty. *)

@@ -92,6 +92,37 @@ let qcheck_vs_reference =
       && Bitset.cardinal s = List.length expect
       && Bitset.is_empty s = (expect = []))
 
+let test_next_member () =
+  let empty = Bitset.create ~n:128 in
+  check_int "empty from 0" (-1) (Bitset.next_member empty 0);
+  check_int "empty from 127" (-1) (Bitset.next_member empty 127);
+  let s = Bitset.create ~n:130 in
+  List.iter (fun i -> Bitset.add s i) [ 31; 32; 63; 64; 129 ];
+  check_int "from 0" 31 (Bitset.next_member s 0);
+  check_int "at 31" 31 (Bitset.next_member s 31);
+  check_int "past 31 crosses the word edge" 32 (Bitset.next_member s 32);
+  check_int "past 32" 63 (Bitset.next_member s 33);
+  check_int "at 63" 63 (Bitset.next_member s 63);
+  check_int "past 63" 64 (Bitset.next_member s 64);
+  check_int "past 64 skips an empty word" 129 (Bitset.next_member s 65);
+  check_int "last bit" 129 (Bitset.next_member s 129);
+  check_int "past capacity" (-1) (Bitset.next_member s 130);
+  Bitset.remove s 129;
+  check_int "past the last member" (-1) (Bitset.next_member s 65);
+  check_bool "negative rejected" true
+    (match Bitset.next_member s (-1) with _ -> false | exception Invalid_argument _ -> true)
+
+(* [next_member] vs a linear walk over [mem], from every start index. *)
+let qcheck_next_member =
+  qtest "next_member matches linear reference"
+    QCheck2.Gen.(pair (int_range 1 200) (list (int_bound 199)))
+    (fun (n, ids) ->
+      let s = Bitset.create ~n in
+      List.iter (fun i -> if i < n then Bitset.add s i) ids;
+      let rec linear i = if i >= n then -1 else if Bitset.mem s i then i else linear (i + 1) in
+      List.for_all (fun i -> Bitset.next_member s i = linear i) (List.init (n + 2) Fun.id)
+      && (Bitset.is_empty s || Bitset.choose s = linear 0))
+
 let suite =
   ( "bitset",
     [
@@ -101,5 +132,7 @@ let suite =
       tc "clear/copy/equal" test_clear_copy_equal;
       tc "idempotent ops" test_add_idempotent;
       tc "bounds checks" test_bounds;
+      tc "next_member" test_next_member;
       qcheck_vs_reference;
+      qcheck_next_member;
     ] )

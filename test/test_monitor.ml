@@ -117,6 +117,64 @@ let test_messages_handled_counted () =
       check_bool "peer handled our ping" true
         (Monitor.messages_handled (Os.monitor os ~core:2) > before))
 
+(* The round-robin poll the event loop used before the ready set: probe
+   the [n] incoming channels from [scan_idx] on, wrapping once. *)
+let linear_scan ~pending ~scan_idx =
+  let n = Array.length pending in
+  let rec go scanned idx =
+    if n = 0 || scanned > n then -1
+    else if pending.(idx mod n) then idx mod n
+    else go (scanned + 1) (idx + 1)
+  in
+  go 0 scan_idx
+
+let qcheck_dispatch_order =
+  qtest ~count:500 "ready-set pick = round-robin linear scan"
+    QCheck2.Gen.(
+      int_range 1 200 >>= fun cores ->
+      let n = cores - 1 in
+      pair (array_size (return n) bool) (int_bound (max 0 (n - 1))))
+    (fun (pending, scan_idx) ->
+      let n = Array.length pending in
+      let ready = Bitset.create ~n:(max 1 n) in
+      Array.iteri (fun j p -> if p then Bitset.add ready j) pending;
+      Monitor.next_ready ready ~from:scan_idx = linear_scan ~pending ~scan_idx)
+
+(* A mesh above the 128-core closed-form arena threshold, which no other
+   tier-1 test boots: one unmap and one 2PC round on a 160-core tree,
+   pinned to the values of the linear-scan event loop. *)
+let test_arena_mesh_pinned () =
+  let plat = Platform.synthetic_tree ~packages:40 ~cores_per_package:4 in
+  let os = Os.boot ~measure_latencies:Os.No_measure plat in
+  let n = Os.n_cores os in
+  let cores = List.init n Fun.id in
+  let vaddr = 0x600000 in
+  let protect, agree, committed =
+    Os.run os (fun () ->
+        let dom = Os.spawn_domain os ~name:"arena" ~cores in
+        (match Os.alloc_map_frame os dom ~core:0 ~vaddr ~bytes:Types.page_size with
+         | Ok _ -> ()
+         | Error e -> Alcotest.fail (Types.error_to_string e));
+        List.iter (fun c -> ignore (Vspace.touch (Dom.vspace dom) ~core:c ~vaddr)) cores;
+        let t0 = Engine.now_ () in
+        (match Os.protect os dom ~core:0 ~vaddr ~bytes:Types.page_size ~writable:false with
+         | Ok () -> ()
+         | Error e -> Alcotest.fail (Types.error_to_string e));
+        let protect = Engine.now_ () - t0 in
+        let plan = Os.default_plan os ~root:0 ~members:cores in
+        let t1 = Engine.now_ () in
+        let committed = Monitor.agree (Os.monitor os ~core:0) ~plan ~op:Monitor.Ag_noop in
+        (protect, Engine.now_ () - t1, committed))
+  in
+  let handled =
+    List.fold_left (fun acc c -> acc + Monitor.messages_handled (Os.monitor os ~core:c)) 0 cores
+  in
+  check_int "cores" 160 n;
+  check_bool "2PC commits" true committed;
+  check_int "protect cycles" 26749 protect;
+  check_int "agree cycles" 45616 agree;
+  check_int "messages handled" 1272 handled
+
 let suite =
   ( "monitor",
     [
@@ -130,4 +188,6 @@ let suite =
       tc "cap transfer" test_cap_transfer;
       tc "wake" test_wake;
       tc "messages handled" test_messages_handled_counted;
+      qcheck_dispatch_order;
+      tc "160-core arena mesh pinned" test_arena_mesh_pinned;
     ] )
