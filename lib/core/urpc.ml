@@ -231,7 +231,7 @@ let send t ?(lines = 1) payload =
   let slot_addr = t.slot_addrs.(t.head) in
   t.head <- (t.head + 1) mod Array.length t.slot_addrs;
   let delay = post_message t ~slot_addr ~lines in
-  let visible_at = max (Engine.now_ () + delay) t.last_visible in
+  let visible_at = Int.max (Engine.now_ () + delay) t.last_visible in
   let inj = t.m.Machine.fault in
   if not (Mk_fault.Injector.armed inj) then begin
     t.last_visible <- visible_at;
@@ -386,7 +386,7 @@ module Broadcast = struct
   let send t payload =
     Engine.charge send_sw_cost;
     let delay = Coherence.store_posted t.m.Machine.coh ~core:t.src t.line_addr in
-    let visible_at = max (Engine.now_ () + delay) t.last_visible in
+    let visible_at = Int.max (Engine.now_ () + delay) t.last_visible in
     t.last_visible <- visible_at;
     Queue.add (visible_at, payload) t.wire_q;
     if not t.wire_spawned then begin

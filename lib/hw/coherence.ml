@@ -598,12 +598,12 @@ let realize_txn_at t ~now ~home ~lat ~src_port ~ln =
        one at a time; each service slot spans directory lookup, port
        turnaround and the transfer itself. An uncontended access still
        completes in [lat]. *)
-    let slot_start = max now ln.line_busy_until in
+    let slot_start = Int.max now ln.line_busy_until in
     ln.line_busy_until <- slot_start + occ + port_occupancy + lat;
     let data_at = slot_start + lat in
-    max (max lat (max dir_done port_done - now)) (data_at - now)
+    Int.max (Int.max lat (Int.max dir_done port_done - now)) (data_at - now)
   end
-  else max lat (max dir_done port_done - now)
+  else Int.max lat (Int.max dir_done port_done - now)
 
 let realize_posted t =
   let p = t.plat in
@@ -715,7 +715,7 @@ let store_posted t ~core addr =
   let delay = realize_posted t in
   (* The posted-store pipeline drain is a fixed local cost. *)
   Engine.charge store_post_cost;
-  max 0 (delay - store_post_cost)
+  Int.max 0 (delay - store_post_cost)
 
 let touch_range t ~core ~addr ~bytes ~write =
   if bytes > 0 then begin

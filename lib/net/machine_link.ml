@@ -143,7 +143,7 @@ let send t ~bytes msg =
   (* Posted transmit (NIC tx queue): the sender does not block, but the
      frame's departure queues behind everything already accepted by the
      wire, so delivery time reflects serialization plus queueing. *)
-  let departed = Resource.reserve t.wire (Stdlib.max 1 ser) in
+  let departed = Resource.reserve t.wire (Int.max 1 ser) in
   t.tx_frames <- t.tx_frames + 1;
   t.tx_bytes <- t.tx_bytes + bytes;
   let at = departed + t.latency in

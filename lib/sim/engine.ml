@@ -52,6 +52,15 @@ type t = {
   (* Names of live tasks, for Stalled diagnostics: task id -> ~name. *)
   names : (int, string) Hashtbl.t;
   mutable next_task : int;
+  (* Effect-handler scratch. The handler of every task on this engine
+     answers [E_wait] and [E_suspend] with these two preallocated closures
+     instead of a fresh one per perform: its [effc] stashes the effect's
+     argument here and the closure, which runs immediately afterwards on
+     the same domain, reads it back. Set once by [create]. *)
+  mutable wait_delay : int;
+  mutable suspend_register : waker -> unit;
+  mutable on_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  mutable on_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 let nop () = ()
@@ -68,7 +77,8 @@ let run_ev (x : ev) =
     Effect.Deep.continue (Obj.obj x : (unit, unit) Effect.Deep.continuation) ()
   else (Obj.obj x : unit -> unit) ()
 
-let create () =
+(* The record without its handler closures; [create] adds them. *)
+let make () =
   {
     now = 0;
     seq = 0;
@@ -85,6 +95,10 @@ let create () =
     executed = 0;
     names = Hashtbl.create 16;
     next_task = 0;
+    wait_delay = 0;
+    suspend_register = ignore;
+    on_wait = None;
+    on_suspend = None;
   }
 
 (* Rewind an *idle* engine (no pending events, no live tasks) to t=0 so its
@@ -122,23 +136,9 @@ let next_time t =
   end;
   if !nt = max_int then None else Some !nt
 
-(* Events executed by every engine on this domain: lets the bench harness
-   attribute events/sec to a bench without threading engine handles out,
-   and stays correct when benches run on parallel domains. *)
-let domain_executed : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-(* The engine whose [run] loop is currently draining events on this
-   domain (saved/restored across nested runs). [now_] reads the clock
-   through it instead of performing [E_now]: an effect costs two stack
-   switches plus a continuation and a handler-closure allocation per
-   perform, which the serving bench pays ~28M times — a pure
-   representation change, since the value returned is the same field the
-   [E_now] handler read. *)
-let domain_running : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let domain_events_executed () = !(Domain.DLS.get domain_executed)
+(* An engine that never runs: [domain_cell]'s [running] when no run loop
+   is draining events on the domain. *)
+let idle = make ()
 
 (* -- deferred latency charging ("fusion") --
 
@@ -153,17 +153,32 @@ let domain_events_executed () = !(Domain.DLS.get domain_executed)
 
    The cell can live per-domain rather than per-task because tasks are
    cooperative and every control transfer flushes first: whenever the
-   engine (or any other task) runs, the cell is zero. *)
-type charge_cell = {
+   engine (or any other task) runs, the cell is zero.
+
+   The same cell carries the domain's other engine state, so every engine
+   operation pays a single [Domain.DLS.get]. *)
+type domain_cell = {
   mutable pending : int;  (* banked delay, flushed at interaction points *)
   mutable deferred : int;  (* charges banked (would-be wait events) *)
   mutable flushes : int;  (* waits actually performed to drain the bank *)
   mutable fuse : bool;  (* fusion enabled on this domain *)
+  (* Events executed by every engine on this domain: lets the bench
+     harness attribute events/sec to a bench without threading engine
+     handles out, and stays correct when benches run on parallel
+     domains. *)
+  mutable executed_here : int;
+  (* The engine whose [run] loop is currently draining events on this
+     domain ([idle] if none; saved/restored across nested runs). [now_]
+     reads the clock through it instead of performing [E_now]: an effect
+     costs two stack switches plus a continuation per perform, which the
+     serving bench pays ~28M times — a pure representation change, since
+     the value returned is the same field the [E_now] handler read. *)
+  mutable running : t;
 }
 
 (* Referee switch: MK_NO_FUSION=1 (or [set_fusion false]) makes [charge]
    behave exactly like [wait], so CI can diff full bench outputs
-   fused-vs-unfused. The flag lives in the per-domain charge cell — not a
+   fused-vs-unfused. The flag lives in the per-domain cell — not a
    process global — so pool workers can run fused and unfused simulations
    concurrently (the fusion-equivalence property does exactly that), and
    the hot [charge] path reads it from the cell it already fetched. *)
@@ -172,13 +187,21 @@ let fusion_default =
   | None | Some "" | Some "0" -> true
   | Some _ -> false
 
-let domain_charge : charge_cell Domain.DLS.key =
+let domain_cell : domain_cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { pending = 0; deferred = 0; flushes = 0; fuse = fusion_default })
+      {
+        pending = 0;
+        deferred = 0;
+        flushes = 0;
+        fuse = fusion_default;
+        executed_here = 0;
+        running = idle;
+      })
 
-let set_fusion b = (Domain.DLS.get domain_charge).fuse <- b
-let fusion_enabled () = (Domain.DLS.get domain_charge).fuse
-let pending_charge () = (Domain.DLS.get domain_charge).pending
+let set_fusion b = (Domain.DLS.get domain_cell).fuse <- b
+let fusion_enabled () = (Domain.DLS.get domain_cell).fuse
+let pending_charge () = (Domain.DLS.get domain_cell).pending
+let domain_events_executed () = (Domain.DLS.get domain_cell).executed_here
 
 (* Scheduler events saved by coalescing so far on this domain: each
    deferred charge would have been one wait event, and each flush pays one
@@ -186,7 +209,7 @@ let pending_charge () = (Domain.DLS.get domain_charge).pending
    event count an unfused run executes, which keeps events/sec
    baseline-comparable across fusion modes. *)
 let domain_events_fused () =
-  let c = Domain.DLS.get domain_charge in
+  let c = Domain.DLS.get domain_cell in
   c.deferred - c.flushes
 
 let fifo_grow t =
@@ -266,13 +289,39 @@ let schedule t ~at thunk =
    performs [E_wait]); a no-op when nothing is banked, so it is safe (and
    cheap) to call at every interaction point. *)
 let flush_charge () =
-  let c = Domain.DLS.get domain_charge in
+  let c = Domain.DLS.get domain_cell in
   if c.pending > 0 then begin
     let p = c.pending in
     c.pending <- 0;
     c.flushes <- c.flushes + 1;
     Effect.perform (E_wait p)
   end
+
+let create () =
+  let t = make () in
+  t.on_wait <-
+    Some (fun k -> schedule t ~at:(t.now + Int.max 0 t.wait_delay) (ev_of_cont k));
+  t.on_suspend <-
+    Some
+      (fun k ->
+        let fired = ref false in
+        let wake ?(delay = 0) () =
+          if not !fired then begin
+            fired := true;
+            (* An invoker with a banked charge (e.g. a futex wake loop
+               that charged a per-waiter cost) must reach the true time
+               *before* the wake is scheduled — not just so the event
+               lands at the right time, but so it is sequenced after
+               everything else that fires inside the banked window.
+               Paying the bank here is safe even though wakers may run
+               outside any task: a non-empty bank implies task context,
+               because every yield point flushes first. *)
+            flush_charge ();
+            schedule t ~at:(t.now + Int.max 0 delay) (ev_of_cont k)
+          end
+        in
+        t.suspend_register wake);
+  t
 
 (* Run [f] as a task body under the scheduling-effect handler. The body is
    bracketed so any charge still banked when the task returns (or halts)
@@ -302,44 +351,23 @@ let rec exec t (name : string) f =
           Hashtbl.remove t.names tid;
           (* Drop, don't pay, the bank on a crash: the next slice on this
              domain must not inherit a dead task's pending delay. *)
-          (Domain.DLS.get domain_charge).pending <- 0;
+          (Domain.DLS.get domain_cell).pending <- 0;
           match e with
           | Halted -> ()
           | e ->
             (* A crashing task aborts the whole simulation: surface it. *)
             raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | E_wait n ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                schedule t ~at:(t.now + max 0 n)
-                  (ev_of_cont (Obj.magic (k : (a, _) continuation))))
+            t.wait_delay <- n;
+            t.on_wait
           | E_now -> Some (fun (k : (a, _) continuation) -> continue k t.now)
           | E_name -> Some (fun (k : (a, _) continuation) -> continue k name)
           | E_suspend register ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let fired = ref false in
-                let wake ?(delay = 0) () =
-                  if not !fired then begin
-                    fired := true;
-                    (* An invoker with a banked charge (e.g. a futex wake
-                       loop that charged a per-waiter cost) must reach the
-                       true time *before* the wake is scheduled — not just
-                       so the event lands at the right time, but so it is
-                       sequenced after everything else that fires inside
-                       the banked window. Paying the bank here is safe
-                       even though wakers may run outside any task: a
-                       non-empty bank implies task context, because every
-                       yield point flushes first. *)
-                    flush_charge ();
-                    schedule t ~at:(t.now + max 0 delay)
-                      (ev_of_cont (Obj.magic (k : (a, _) continuation)))
-                  end
-                in
-                register wake)
+            t.suspend_register <- register;
+            t.on_suspend
           | E_spawn (nm, body) ->
             Some
               (fun (k : (a, _) continuation) ->
@@ -348,7 +376,7 @@ let rec exec t (name : string) f =
                    with a banked charge has conceptually already lived
                    those cycles, so the child must not start before them.
                    With nothing banked this is exactly [t.now]. *)
-                let at = t.now + (Domain.DLS.get domain_charge).pending in
+                let at = t.now + (Domain.DLS.get domain_cell).pending in
                 schedule t ~at (ev_of_thunk (fun () -> exec t nm body));
                 continue k ())
           | _ -> None) }
@@ -357,7 +385,7 @@ let spawn t ?(name = "task") f =
   (* Same virtual-time rule as [E_spawn]: callable from inside a task
      (where a charge may be banked) as well as from setup code (where the
      bank is always empty and this is plain [t.now]). *)
-  let at = t.now + (Domain.DLS.get domain_charge).pending in
+  let at = t.now + (Domain.DLS.get domain_cell).pending in
   schedule t ~at (ev_of_thunk (fun () -> exec t name f))
 
 (* Injection hook: schedule a bare thunk at an absolute time. The thunk
@@ -374,7 +402,7 @@ let src_heap = 2
 
 let run t ?until ?(allow_stall = true) () =
   let limit = until in
-  let dom_counter = Domain.DLS.get domain_executed in
+  let c = Domain.DLS.get domain_cell in
   let rec loop () =
     let have_f = t.fq_len > 0 in
     let have_w = not (Wheel.is_empty t.wheel) in
@@ -450,15 +478,19 @@ let run t ?until ?(allow_stall = true) () =
         in
         t.now <- ntime;
         t.executed <- t.executed + 1;
-        incr dom_counter;
+        c.executed_here <- c.executed_here + 1;
         run_ev thunk;
         loop ()
     end
   in
-  let cur = Domain.DLS.get domain_running in
-  let saved = !cur in
-  cur := Some t;
-  Fun.protect ~finally:(fun () -> cur := saved) loop
+  let saved = c.running in
+  c.running <- t;
+  match loop () with
+  | () -> c.running <- saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    c.running <- saved;
+    Printexc.raise_with_backtrace e bt
 
 (* Task-level API. Every operation that can observe or be observed by the
    rest of the simulation flushes the charge bank first, so banked delays
@@ -475,16 +507,16 @@ let now_ () =
   (* Fast path: read the running engine's clock off the domain. The
      [E_now] effect remains as the fallback (and for any caller outside a
      run loop that still has a task handler on its stack). *)
-  match !(Domain.DLS.get domain_running) with
-  | Some t -> t.now + (Domain.DLS.get domain_charge).pending
-  | None -> Effect.perform E_now + (Domain.DLS.get domain_charge).pending
+  let c = Domain.DLS.get domain_cell in
+  if c.running != idle then c.running.now + c.pending
+  else Effect.perform E_now + c.pending
 
 let wait n =
   flush_charge ();
   Effect.perform (E_wait n)
 
 let charge n =
-  let c = Domain.DLS.get domain_charge in
+  let c = Domain.DLS.get domain_cell in
   if c.fuse && n > 0 then begin
     c.pending <- c.pending + n;
     c.deferred <- c.deferred + 1

@@ -361,7 +361,6 @@ type worker_total = {
   mutable w_fused : int;
   mutable w_minor : float;
   mutable w_promoted : float;
-  mutable w_major : int;
 }
 
 let exec_team t ~domains:d =
@@ -374,12 +373,15 @@ let exec_team t ~domains:d =
   let fusion = Engine.fusion_enabled () in
   let totals =
     Array.init (d - 1) (fun _ ->
-        { w_executed = 0; w_fused = 0; w_minor = 0.0; w_promoted = 0.0; w_major = 0 })
+        { w_executed = 0; w_fused = 0; w_minor = 0.0; w_promoted = 0.0 })
   in
   let worker w () =
     Engine.set_fusion fusion;
     let ev0 = Engine.domain_events_executed () and fu0 = Engine.domain_events_fused () in
-    let g0 = Gc.quick_stat () in
+    (* This domain's own words only (see [Pool.total_minor_words]):
+       [Gc.quick_stat] would add the other domains' allocation, which
+       they already count themselves. *)
+    let mi0 = Gc.minor_words () and _, pr0, _ = Gc.counters () in
     let my_round = ref 0 in
     let rec loop () =
       wait_for ~mu ~cv (fun () -> Atomic.get round <> !my_round);
@@ -397,13 +399,12 @@ let exec_team t ~domains:d =
       end
     in
     loop ();
-    let g1 = Gc.quick_stat () in
+    let mi1 = Gc.minor_words () and _, pr1, _ = Gc.counters () in
     let tot = totals.(w - 1) in
     tot.w_executed <- Engine.domain_events_executed () - ev0;
     tot.w_fused <- Engine.domain_events_fused () - fu0;
-    tot.w_minor <- g1.Gc.minor_words -. g0.Gc.minor_words;
-    tot.w_promoted <- g1.Gc.promoted_words -. g0.Gc.promoted_words;
-    tot.w_major <- g1.Gc.major_collections - g0.Gc.major_collections
+    tot.w_minor <- mi1 -. mi0;
+    tot.w_promoted <- pr1 -. pr0
   in
   let workers = List.init (d - 1) (fun w -> Domain.spawn (worker (w + 1))) in
   let quit () =
@@ -414,7 +415,7 @@ let exec_team t ~domains:d =
     Array.iter
       (fun w ->
         Pool.absorb ~executed:w.w_executed ~fused:w.w_fused ~minor:w.w_minor
-          ~promoted:w.w_promoted ~major:w.w_major ())
+          ~promoted:w.w_promoted ())
       totals
   in
   let rounds = ref 0 in

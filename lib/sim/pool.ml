@@ -40,7 +40,6 @@ type foreign = {
   mutable f_fused : int;
   mutable f_minor : float;
   mutable f_promoted : float;
-  mutable f_major : int;
   mutable f_barriers : int;  (* PDES window barriers (Pdes reports here) *)
   mutable f_shards : int;  (* high-water PDES shard count (max, not sum) *)
   mutable f_wire_batches : int;  (* coalesced wire handoffs (Machine_link) *)
@@ -54,7 +53,6 @@ let foreign_key : foreign Domain.DLS.key =
         f_fused = 0;
         f_minor = 0.0;
         f_promoted = 0.0;
-        f_major = 0;
         f_barriers = 0;
         f_shards = 0;
         f_wire_batches = 0;
@@ -65,13 +63,12 @@ let foreign_key : foreign Domain.DLS.key =
    pool's own merge uses it for jobs that ran elsewhere; Pdes uses it for
    the worker-domain halves of a sharded window run, so an enclosing
    measurement reads the same totals wherever the shards executed. *)
-let absorb ?(executed = 0) ?(fused = 0) ?(minor = 0.0) ?(promoted = 0.0) ?(major = 0) () =
+let absorb ?(executed = 0) ?(fused = 0) ?(minor = 0.0) ?(promoted = 0.0) () =
   let fo = Domain.DLS.get foreign_key in
   fo.f_executed <- fo.f_executed + executed;
   fo.f_fused <- fo.f_fused + fused;
   fo.f_minor <- fo.f_minor +. minor;
-  fo.f_promoted <- fo.f_promoted +. promoted;
-  fo.f_major <- fo.f_major + major
+  fo.f_promoted <- fo.f_promoted +. promoted
 
 (* Window barriers executed by PDES runs on (or absorbed into) this
    domain: lives here rather than in Pdes so the per-job counter capture
@@ -120,14 +117,19 @@ let total_executed () =
 
 let total_fused () = Engine.domain_events_fused () + (Domain.DLS.get foreign_key).f_fused
 
-let total_minor_words () =
-  (Gc.quick_stat ()).Gc.minor_words +. (Domain.DLS.get foreign_key).f_minor
+(* Words are the calling domain's own, plus the absorbed foreign words:
+   [Gc.quick_stat] sums every domain's words and would count a foreign
+   domain's work twice. Minor words come from [Gc.minor_words], which,
+   unlike [Gc.counters], includes the words allocated since the last
+   minor collection. A major cycle is process-wide, so the collection
+   count is [Gc.quick_stat]'s and absorbs nothing. *)
+let total_minor_words () = Gc.minor_words () +. (Domain.DLS.get foreign_key).f_minor
 
 let total_promoted_words () =
-  (Gc.quick_stat ()).Gc.promoted_words +. (Domain.DLS.get foreign_key).f_promoted
+  let _, promoted, _ = Gc.counters () in
+  promoted +. (Domain.DLS.get foreign_key).f_promoted
 
-let total_major_collections () =
-  (Gc.quick_stat ()).Gc.major_collections + (Domain.DLS.get foreign_key).f_major
+let total_major_collections () = (Gc.quick_stat ()).Gc.major_collections
 
 (* -- the pool -- *)
 
@@ -254,7 +256,6 @@ type 'a cell = {
   mutable d_fused : int;
   mutable d_minor : float;
   mutable d_promoted : float;
-  mutable d_major : int;
   mutable d_barriers : int;
   mutable d_shards : int;
   mutable d_wire_batches : int;
@@ -269,7 +270,7 @@ let exec_cell cell f () =
   cell.dom <- (Domain.self () :> int);
   let ev0 = total_executed () and fu0 = total_fused () in
   let mi0 = total_minor_words () and pr0 = total_promoted_words () in
-  let ma0 = total_major_collections () and ba0 = total_barriers () in
+  let ba0 = total_barriers () in
   let wb0 = total_wire_batches () and wm0 = total_wire_msgs () in
   let fo = Domain.DLS.get foreign_key in
   let sh0 = fo.f_shards in
@@ -285,7 +286,6 @@ let exec_cell cell f () =
   cell.d_fused <- total_fused () - fu0;
   cell.d_minor <- total_minor_words () -. mi0;
   cell.d_promoted <- total_promoted_words () -. pr0;
-  cell.d_major <- total_major_collections () - ma0;
   cell.d_barriers <- total_barriers () - ba0;
   cell.d_wire_batches <- total_wire_batches () - wb0;
   cell.d_wire_msgs <- total_wire_msgs () - wm0
@@ -305,7 +305,6 @@ let run ?pool fs =
             d_fused = 0;
             d_minor = 0.0;
             d_promoted = 0.0;
-            d_major = 0;
             d_barriers = 0;
             d_shards = 0;
             d_wire_batches = 0;
@@ -334,7 +333,6 @@ let run ?pool fs =
           fo.f_fused <- fo.f_fused + c.d_fused;
           fo.f_minor <- fo.f_minor +. c.d_minor;
           fo.f_promoted <- fo.f_promoted +. c.d_promoted;
-          fo.f_major <- fo.f_major + c.d_major;
           fo.f_barriers <- fo.f_barriers + c.d_barriers;
           fo.f_shards <- max fo.f_shards c.d_shards;
           fo.f_wire_batches <- fo.f_wire_batches + c.d_wire_batches;

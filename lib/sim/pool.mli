@@ -68,7 +68,9 @@ val redirect_to : Buffer.t -> (unit -> 'a) -> 'a
     Engine event counters and GC allocation counters for this domain,
     {e plus} everything absorbed from pool jobs this domain submitted that
     ran elsewhere. Measuring a delta of these around a call is therefore
-    placement-independent. *)
+    placement-independent. Words are counted per domain ([Gc.minor_words],
+    [Gc.counters]); major collections are process-wide cycles, so
+    {!total_major_collections} counts every domain's and absorbs nothing. *)
 
 val total_executed : unit -> int
 val total_fused : unit -> int
@@ -77,7 +79,7 @@ val total_promoted_words : unit -> float
 val total_major_collections : unit -> int
 
 val absorb :
-  ?executed:int -> ?fused:int -> ?minor:float -> ?promoted:float -> ?major:int -> unit -> unit
+  ?executed:int -> ?fused:int -> ?minor:float -> ?promoted:float -> unit -> unit
 (** Fold counters produced on {e other} domains into this domain's foreign
     cell. The pool's ordered merge uses it internally; {!Pdes.exec} uses it
     for the worker-domain halves of a sharded window run, so an enclosing

@@ -10,7 +10,7 @@ let name t = t.rname
 let busy_until t = t.busy_until
 
 let reserve_at t ~now n =
-  let n = max 0 n in
+  let n = Int.max 0 n in
   let start = if now > t.busy_until then now else t.busy_until in
   t.busy_until <- start + n;
   t.busy_cycles <- t.busy_cycles + n;
@@ -30,7 +30,7 @@ let acquire t n =
      it instead of sleeping. Competing acquirers see [busy_until], which
      was already updated above. *)
   if finish > now then Engine.charge (finish - now);
-  finish - max 0 n
+  finish - Int.max 0 n
 
 let utilization t ~since ~now =
   if now <= since then 0.0

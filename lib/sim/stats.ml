@@ -129,7 +129,7 @@ module Histogram = struct
   let bucket_of = index
 
   let add t v =
-    let v = Stdlib.max 0 v in
+    let v = Int.max 0 v in
     t.counts.(index t v) <- t.counts.(index t v) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum +. float_of_int v;

@@ -93,7 +93,7 @@ module Mailbox = struct
     match Queue.take_opt t.items with
     | Some v -> Some v
     | None ->
-      let deadline = Engine.now_ () + max 0 timeout in
+      let deadline = Engine.now_ () + Int.max 0 timeout in
       let rec wait_for () =
         let left = deadline - Engine.now_ () in
         if left <= 0 then Queue.take_opt t.items

@@ -184,6 +184,28 @@ let test_determinism () =
   check_bool "2 domains identical" true (cell 2 = serial);
   check_bool "4 domains identical" true (cell 4 = serial)
 
+(* The same cell's allocation, read through [Pool.total_minor_words] as
+   the bench harness does: a 2-domain team must report about what the
+   serial run allocates, not its own words plus the worker's twice. *)
+let test_minor_words_across_domains () =
+  let words d =
+    with_domains d (fun () ->
+        let w0 = Pool.total_minor_words () in
+        let cl =
+          Cluster.create
+            (Cluster.default_config ~policy:Lb.Least_outstanding ~machines:2 ())
+        in
+        ignore
+          (Cluster.run_load cl ~users:400 ~think:3_000_000 ~warmup:1_000_000
+             ~window:6_000_000);
+        Pool.total_minor_words () -. w0)
+  in
+  let w1 = words 1 and w2 = words 2 in
+  check_bool
+    (Printf.sprintf "1 domain %.0f words, 2 domains %.0f words: within 15%%" w1 w2)
+    true
+    (Float.abs (w2 -. w1) <= 0.15 *. w1)
+
 let suite =
   ( "cluster",
     [
@@ -194,4 +216,5 @@ let suite =
       tc "session affinity (load)" test_load_affinity;
       tc "backend death: Ft detect + reroute" test_backend_death;
       tc "determinism across PDES domains" test_determinism;
+      tc "minor words across PDES domains" test_minor_words_across_domains;
     ] )

@@ -310,6 +310,51 @@ let test_charge_nonpositive_is_noop () =
       in
       check_int "no time" 0 t)
 
+(* -- effect-path allocation and run's restore -- *)
+
+(* Minor words this domain allocates per operation of [op], over [n]
+   operations in one task. [Gc.minor_words] counts the calling domain
+   only, and exactly: it includes the words allocated since the last
+   minor collection, which [Gc.counters] and [Gc.quick_stat] miss. *)
+let words_per_op ~n op =
+  run_sim (fun () ->
+      op ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        op ()
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int n)
+
+(* The handler answers [E_wait] and [E_suspend] with per-engine closures:
+   a wait allocates only its effect and continuation (5 words), a suspend
+   plus wake adds the one-shot waker (18). A handler closure per effect
+   (12 and 25 words) exceeds both bounds. *)
+let test_wait_allocation () =
+  let w = words_per_op ~n:100_000 (fun () -> Engine.wait 1) in
+  check_bool (Printf.sprintf "wait: %.1f words/op <= 5.5" w) true (w <= 5.5)
+
+let test_suspend_allocation () =
+  let w = words_per_op ~n:100_000 (fun () -> Engine.suspend (fun wake -> wake ())) in
+  check_bool (Printf.sprintf "suspend+wake: %.1f words/op <= 20" w) true (w <= 20.0)
+
+(* A task exception that escapes a nested [Engine.run] must leave the
+   outer engine as the one [now_] reads. *)
+let test_run_restores_running () =
+  let eng = Engine.create () in
+  let seen = ref (-1) in
+  Engine.spawn eng (fun () ->
+      Engine.wait 100;
+      let inner = Engine.create () in
+      Engine.spawn inner (fun () ->
+          Engine.wait 7;
+          failwith "inner task crashed");
+      (match Engine.run inner () with
+      | () -> Alcotest.fail "inner run should raise"
+      | exception Failure _ -> ());
+      seen := Engine.now_ ());
+  Engine.run eng ();
+  check_int "outer clock" 100 !seen
+
 let suite =
   ( "engine",
     [
@@ -335,4 +380,7 @@ let suite =
       tc "charge counts fused events" test_charge_counts_fused_events;
       tc "fusion off is eager" test_fusion_off_is_eager;
       tc "charge nonpositive noop" test_charge_nonpositive_is_noop;
+      tc "wait allocation" test_wait_allocation;
+      tc "suspend allocation" test_suspend_allocation;
+      tc "run restores running engine" test_run_restores_running;
     ] )
