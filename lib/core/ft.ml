@@ -105,9 +105,14 @@ let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
       deaths = 0;
     }
   in
+  (* Each detection loop starts on its own core's shard: called from a
+     window (e.g. a sharded OS's main task), a direct start would spawn
+     onto, and read the clock of, other shards' engines, which may be
+     running on other domains. *)
   for c = 0 to n - 1 do
-    Monitor.start_ft (Os.monitor os ~core:c) ~interval:hb_interval ~threshold
-      ~until ~on_death:(fun ~core ~at -> handle_death t ~by:c ~core ~at)
+    Os.post os ~core:c (fun () ->
+        Monitor.start_ft (Os.monitor os ~core:c) ~interval:hb_interval ~threshold
+          ~until ~on_death:(fun ~core ~at -> handle_death t ~by:c ~core ~at))
   done;
   (* Wire the fault plan's core stops to the monitors they stop. Sharded:
      every shard machine carries its own injector (armed with an

@@ -14,7 +14,10 @@ val attach : ?hb_interval:int -> ?threshold:float -> until:int -> Os.t -> t
     cycles) is the heartbeat/evaluation period; [threshold] (default 4.0)
     the phi threshold; [until] the absolute simulated time at which the
     detection tasks stop (so a run can drain). Call after [Os.boot],
-    before arming the injector. *)
+    before arming the injector. Each core's detector starts on that
+    core's shard: called from a task of a sharded OS, the starts for
+    other shards travel as cross-shard posts and begin one control leg
+    later. *)
 
 val register_service : t -> name:string -> home:int -> respawn:(int -> unit) -> unit
 (** Make a named service failover-managed: if [home] dies, [respawn] is

@@ -1,3 +1,4 @@
+open Mk_sim
 open Mk_hw
 
 type service_ref = { srv_name : string; srv_core : int; srv_tag : int }
@@ -45,6 +46,10 @@ let home_core t = t.home
 let call t ~from_core req =
   if from_core = t.home then begin
     Machine.compute t.m ~core:t.home local_call_cost;
+    (* The table is shared with the server loop: pay the banked path cost
+       before touching it, so a fused run reads it at the same simulated
+       time as an unfused one. *)
+    Engine.flush_charge ();
     match req with
     | Register r ->
       Hashtbl.replace t.table r.srv_name r;

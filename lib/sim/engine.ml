@@ -27,6 +27,7 @@ type _ Effect.t +=
 
 exception Stalled of string
 exception Halted
+exception Cross_shard_spawn of string
 
 (* A queued event is either a plain thunk or a captured task continuation
    to be resumed with (). Storing the continuation directly — instead of
@@ -49,6 +50,11 @@ type t = {
   mutable fq_len : int;
   mutable live : int;
   mutable executed : int;
+  (* The [until] of the [run] draining this engine ([max_int] for none):
+     an inlined wait may not carry the clock past it. *)
+  mutable limit : int;
+  (* Shard group ([create_group]); 0 for a standalone engine. *)
+  group : int;
   (* Names of live tasks, for Stalled diagnostics: task id -> ~name. *)
   names : (int, string) Hashtbl.t;
   mutable next_task : int;
@@ -56,7 +62,7 @@ type t = {
      answers [E_wait] and [E_suspend] with these two preallocated closures
      instead of a fresh one per perform: its [effc] stashes the effect's
      argument here and the closure, which runs immediately afterwards on
-     the same domain, reads it back. Set once by [create]. *)
+     the same domain, reads it back. Set once by [init_handlers]. *)
   mutable wait_delay : int;
   mutable suspend_register : waker -> unit;
   mutable on_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
@@ -77,8 +83,8 @@ let run_ev (x : ev) =
     Effect.Deep.continue (Obj.obj x : (unit, unit) Effect.Deep.continuation) ()
   else (Obj.obj x : unit -> unit) ()
 
-(* The record without its handler closures; [create] adds them. *)
-let make () =
+(* The record without its handler closures; [init_handlers] adds them. *)
+let make ?(group = 0) () =
   {
     now = 0;
     seq = 0;
@@ -93,6 +99,8 @@ let make () =
     fq_len = 0;
     live = 0;
     executed = 0;
+    limit = max_int;
+    group;
     names = Hashtbl.create 16;
     next_task = 0;
     wait_delay = 0;
@@ -285,20 +293,53 @@ let schedule t ~at thunk =
   then ()
   else Heap.push t.heap ~time:at ~seq:t.seq thunk
 
+(* A wait whose wake-up is provably the next event needs no scheduler
+   round trip. When the FIFO is empty and [at] lies strictly before every
+   wheel and heap entry (and within the run's [until]), the queue would
+   hand control straight back to this task: schedule gives it the next
+   seq, and the run loop pops it, sets the clock and counts it. Doing
+   exactly those updates here and returning leaves the same state, so the
+   (time, seq) schedule and the event counts are unchanged. Sound because
+   a task only runs inside its own engine's run loop, so [c.running] is
+   the waiting task's engine — the same invariant [now_] reads the clock
+   through. *)
+let wait_inline c d =
+  let t = c.running in
+  if t == idle || t.fq_len > 0 then false
+  else begin
+    let at = t.now + Int.max 0 d in
+    if
+      at <= t.limit
+      && (Wheel.is_empty t.wheel || at < Wheel.min_time t.wheel)
+      && (Heap.is_empty t.heap || at < Heap.min_time t.heap)
+    then begin
+      t.seq <- t.seq + 1;
+      t.now <- at;
+      t.executed <- t.executed + 1;
+      c.executed_here <- c.executed_here + 1;
+      true
+    end
+    else false
+  end
+
+(* Wait [d] on the engine running on this domain: inline when the wake-up
+   is next, else through the queue. *)
+let wait_on c d = if not (wait_inline c d) then Effect.perform (E_wait d)
+
 (* Drain the pending-charge bank as one wait. Must run inside a task (it
-   performs [E_wait]); a no-op when nothing is banked, so it is safe (and
-   cheap) to call at every interaction point. *)
+   may perform [E_wait]); a no-op when nothing is banked, so it is safe
+   (and cheap) to call at every interaction point. *)
 let flush_charge () =
   let c = Domain.DLS.get domain_cell in
   if c.pending > 0 then begin
     let p = c.pending in
     c.pending <- 0;
     c.flushes <- c.flushes + 1;
-    Effect.perform (E_wait p)
+    wait_on c p
   end
 
-let create () =
-  let t = make () in
+(* Install the preallocated [E_wait]/[E_suspend] answers (see [t]). *)
+let init_handlers t =
   t.on_wait <-
     Some (fun k -> schedule t ~at:(t.now + Int.max 0 t.wait_delay) (ev_of_cont k));
   t.on_suspend <-
@@ -322,6 +363,17 @@ let create () =
         in
         t.suspend_register wake);
   t
+
+let create () = init_handlers (make ())
+
+(* Engines of one PDES shard set share a group id, so [spawn] can refuse a
+   task spawned onto a sibling shard's engine from inside another shard's
+   window (where the target may be running on another domain). *)
+let next_group = Atomic.make 1
+
+let create_group n =
+  let group = Atomic.fetch_and_add next_group 1 in
+  Array.init n (fun _ -> init_handlers (make ~group ()))
 
 (* Run [f] as a task body under the scheduling-effect handler. The body is
    bracketed so any charge still banked when the task returns (or halts)
@@ -382,10 +434,20 @@ let rec exec t (name : string) f =
           | _ -> None) }
 
 let spawn t ?(name = "task") f =
+  let c = Domain.DLS.get domain_cell in
+  (* A shard's window may only touch its own engine: a sibling shard's
+     engine can be running concurrently on another domain. *)
+  if c.running.group = t.group && c.running != t && t.group <> 0 then
+    raise
+      (Cross_shard_spawn
+         (Printf.sprintf
+            "task %S spawned onto a sibling shard's engine (group %d) from inside \
+             another shard's window; post it to the target shard instead"
+            name t.group));
   (* Same virtual-time rule as [E_spawn]: callable from inside a task
      (where a charge may be banked) as well as from setup code (where the
      bank is always empty and this is plain [t.now]). *)
-  let at = t.now + (Domain.DLS.get domain_cell).pending in
+  let at = t.now + c.pending in
   schedule t ~at (ev_of_thunk (fun () -> exec t name f))
 
 (* Injection hook: schedule a bare thunk at an absolute time. The thunk
@@ -483,13 +545,17 @@ let run t ?until ?(allow_stall = true) () =
         loop ()
     end
   in
-  let saved = c.running in
+  let saved = c.running and saved_limit = t.limit in
   c.running <- t;
+  t.limit <- Option.value until ~default:max_int;
   match loop () with
-  | () -> c.running <- saved
+  | () ->
+    c.running <- saved;
+    t.limit <- saved_limit
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     c.running <- saved;
+    t.limit <- saved_limit;
     Printexc.raise_with_backtrace e bt
 
 (* Task-level API. Every operation that can observe or be observed by the
@@ -513,7 +579,10 @@ let now_ () =
 
 let wait n =
   flush_charge ();
-  Effect.perform (E_wait n)
+  (* Re-read the cell: a flush that went through the queue may resume
+     this task on another domain (a PDES shard changes domains between
+     windows). *)
+  wait_on (Domain.DLS.get domain_cell) n
 
 let charge n =
   let c = Domain.DLS.get domain_cell in

@@ -18,7 +18,20 @@ exception Stalled of string
     The message names the suspended tasks (their [~name]s, in spawn order,
     capped at eight) alongside the count and the stall time. *)
 
+exception Cross_shard_spawn of string
+(** Raised by {!spawn} when a task running on one engine of a
+    {!create_group} set spawns onto another engine of the same set. The
+    engines of a PDES shard set may run concurrently on different domains,
+    so a window may only spawn onto its own shard's engine; work for
+    another shard travels as a timestamped cross-shard message. The
+    message names the task. *)
+
 val create : unit -> t
+
+val create_group : int -> t array
+(** [create_group n] creates [n] engines tagged as one shard set (a fresh
+    group id per call): {!spawn} refuses cross-engine spawns within the
+    set from inside a run. Engines from {!create} belong to no set. *)
 
 val reset : t -> unit
 (** Rewind an idle engine to [t = 0], recycling its FIFO rings, wheel
@@ -69,7 +82,9 @@ val pending_charge : unit -> int
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn eng f] schedules task [f] to start at the current simulated time.
-    Usable both from outside [run] (setup) and from within a task. *)
+    Usable both from outside [run] (setup) and from within a task.
+    @raise Cross_shard_spawn if [eng] belongs to a {!create_group} set and
+    the engine running on this domain is a different member of it. *)
 
 val schedule_at : t -> at:int -> (unit -> unit) -> unit
 (** [schedule_at eng ~at thunk] runs [thunk] at absolute time [at] (clamped

@@ -81,17 +81,20 @@ type t = {
 let create ~n_shards ~lookahead =
   if n_shards <= 0 then invalid_arg "Pdes.create: n_shards must be positive";
   if lookahead <= 0 then invalid_arg "Pdes.create: lookahead must be positive";
+  let engs = Engine.create_group n_shards in
   {
     shards =
-      Array.init n_shards (fun _ ->
+      Array.map
+        (fun eng ->
           {
-            eng = Engine.create ();
+            eng;
             buf = Buffer.create 256;
             outbox = Array.make n_shards [];
             send_seq = 0;
             flush = [];
             err = None;
-          });
+          })
+        engs;
     lookahead;
     horizon = 0;
     barriers = 0;

@@ -237,12 +237,6 @@ let test_nested_spawn () =
 
 (* -- latency-charge fusion -- *)
 
-let with_fusion on f =
-  let was = Engine.fusion_enabled () in
-  Fun.protect ~finally:(fun () -> Engine.set_fusion was) (fun () ->
-      Engine.set_fusion on;
-      f ())
-
 let test_charge_banks_delay () =
   with_fusion true (fun () ->
       let eng = Engine.create () in
@@ -315,27 +309,203 @@ let test_charge_nonpositive_is_noop () =
 (* Minor words this domain allocates per operation of [op], over [n]
    operations in one task. [Gc.minor_words] counts the calling domain
    only, and exactly: it includes the words allocated since the last
-   minor collection, which [Gc.counters] and [Gc.quick_stat] miss. *)
-let words_per_op ~n op =
-  run_sim (fun () ->
+   minor collection, which [Gc.counters] and [Gc.quick_stat] miss. With
+   [~partner:true] a second task runs [op] in lockstep, so every wake-up
+   has an earlier-sequenced event at its time and a wait takes the
+   effect path rather than the inline one; both tasks' operations are
+   counted then. *)
+let words_per_op ?(partner = false) ~n op =
+  let eng = Engine.create () in
+  let words = ref 0. in
+  if partner then
+    Engine.spawn eng (fun () ->
+        for _ = 0 to n do
+          op ()
+        done);
+  Engine.spawn eng (fun () ->
       op ();
       let w0 = Gc.minor_words () in
       for _ = 1 to n do
         op ()
       done;
-      (Gc.minor_words () -. w0) /. float_of_int n)
+      words := Gc.minor_words () -. w0);
+  Engine.run eng ();
+  !words /. float_of_int (if partner then 2 * n else n)
 
 (* The handler answers [E_wait] and [E_suspend] with per-engine closures:
-   a wait allocates only its effect and continuation (5 words), a suspend
-   plus wake adds the one-shot waker (18). A handler closure per effect
-   (12 and 25 words) exceeds both bounds. *)
+   a wait through the effect path allocates only its effect and
+   continuation (5 words), a suspend plus wake adds the one-shot waker
+   (18). A handler closure per effect (12 and 25 words) exceeds both
+   bounds. *)
 let test_wait_allocation () =
-  let w = words_per_op ~n:100_000 (fun () -> Engine.wait 1) in
+  let w = words_per_op ~partner:true ~n:100_000 (fun () -> Engine.wait 1) in
   check_bool (Printf.sprintf "wait: %.1f words/op <= 5.5" w) true (w <= 5.5)
+
+(* A lone task's wait is always the next event, so it never performs the
+   effect: no effect, no continuation, no allocation at all. *)
+let test_inline_wait_allocation () =
+  let w = words_per_op ~n:100_000 (fun () -> Engine.wait 1) in
+  check_bool (Printf.sprintf "inline wait: %g words/op = 0" w) true (w = 0.)
 
 let test_suspend_allocation () =
   let w = words_per_op ~n:100_000 (fun () -> Engine.suspend (fun wake -> wake ())) in
   check_bool (Printf.sprintf "suspend+wake: %.1f words/op <= 20" w) true (w <= 20.0)
+
+(* -- the inline wait path -- *)
+
+(* A wait that would wake at the same time as an already-pending event
+   must queue behind it: the pending event holds the smaller seq. [a]
+   sleeps to t=10 in one wait; [b] reaches t=10 in two, its second wait
+   landing exactly on [a]'s wake-up. *)
+let test_inline_same_time_pending () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.spawn eng (fun () ->
+      Engine.wait 10;
+      log := ("a", Engine.now_ ()) :: !log);
+  Engine.spawn eng (fun () ->
+      Engine.wait 5;
+      Engine.wait 5;
+      log := ("b", Engine.now_ ()) :: !log);
+  Engine.run eng ();
+  check_bool "a (earlier seq) runs first" true
+    (List.rev !log = [ ("a", 10); ("b", 10) ]);
+  (* Same with a same-time FIFO entry: [c]'s yield must let [d] run. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.spawn eng (fun () ->
+      Engine.yield ();
+      log := "c" :: !log);
+  Engine.spawn eng (fun () -> log := "d" :: !log);
+  Engine.run eng ();
+  check_bool "yield queues behind the FIFO" true (List.rev !log = [ "d"; "c" ])
+
+(* A wait past [run ~until] is left queued: the run stops at its limit,
+   and the next run resumes the task at the time and with the event count
+   an uninterrupted run reaches. *)
+let test_inline_wait_past_until () =
+  let body seen () =
+    Engine.wait 10;
+    Engine.wait 100;
+    seen := Engine.now_ ()
+  in
+  let whole = Engine.create () and seen_whole = ref (-1) in
+  Engine.spawn whole (body seen_whole);
+  Engine.run whole ();
+  let split = Engine.create () and seen = ref (-1) in
+  Engine.spawn split (body seen);
+  Engine.run split ~until:50 ();
+  check_int "stopped at the limit" 50 (Engine.now split);
+  check_int "second wait not taken" (-1) !seen;
+  check_int "start + first wait" 2 (Engine.events_executed split);
+  Engine.run split ();
+  check_int "resumed at" !seen_whole !seen;
+  check_int "clock" (Engine.now whole) (Engine.now split);
+  check_int "events" (Engine.events_executed whole) (Engine.events_executed split)
+
+(* Engines of one group refuse spawns from a sibling's run: the task
+   would land on an engine another domain may be running. Own-engine,
+   standalone-engine and host-context spawns are unaffected. *)
+let test_cross_shard_spawn () =
+  let engs = Engine.create_group 2 in
+  let other = Engine.create () in
+  let ran = ref [] in
+  Engine.spawn engs.(0) (fun () ->
+      Engine.spawn engs.(0) (fun () -> ran := "own" :: !ran);
+      Engine.spawn other (fun () -> ());
+      match Engine.spawn engs.(1) ~name:"sibling" (fun () -> ()) with
+      | () -> Alcotest.fail "spawn onto a sibling engine should raise"
+      | exception Engine.Cross_shard_spawn msg ->
+        check_bool "names the task" true
+          (String.starts_with ~prefix:"task \"sibling\"" msg));
+  Engine.run engs.(0) ();
+  check_bool "own spawn ran" true (!ran = [ "own" ]);
+  Engine.spawn engs.(1) (fun () -> ran := "host" :: !ran);
+  Engine.run engs.(1) ();
+  check_bool "host spawn ran" true (!ran = [ "host"; "own" ])
+
+(* Differential property: a random multi-task program logs the same
+   per-step (time, task) sequence run alone — where most waits are
+   provably next and take the inline path — and with a ticker task that
+   wakes every cycle, which keeps an event pending at or before nearly
+   every wake-up and so forces the queue path. The ticker touches no
+   program state, so it cannot change the program's schedule. *)
+type step =
+  | S_wait of int
+  | S_charge of int
+  | S_yield
+  | S_wait_until of int
+  | S_spawn of int
+  | S_fill of int
+  | S_read of int
+  | S_send of int
+  | S_recv of int
+
+let gen_step =
+  QCheck2.Gen.(
+    let d = int_bound 20 in
+    let k = int_bound 2 in
+    oneof
+      [
+        map (fun d -> S_wait d) d;
+        map (fun d -> S_wait (d mod 3)) d;
+        map (fun d -> S_charge d) d;
+        return S_yield;
+        map (fun d -> S_wait_until d) d;
+        map (fun d -> S_spawn d) d;
+        map (fun k -> S_fill k) k;
+        map (fun k -> S_read k) k;
+        map (fun k -> S_send k) k;
+        map (fun k -> S_recv k) k;
+      ])
+
+let gen_program =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 1 4) (list_size (int_bound 8) gen_step))
+      (list_size (int_bound 3) (int_bound 300)))
+
+let program_log ~ticker (tasks, windows) =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note id = log := (Engine.now_ (), id) :: !log in
+  let ivars = Array.init 3 (fun _ -> Sync.Ivar.create ()) in
+  let boxes = Array.init 3 (fun _ -> Sync.Mailbox.create ()) in
+  let step id = function
+    | S_wait d -> Engine.wait d
+    | S_charge d -> Engine.charge d
+    | S_yield -> Engine.yield ()
+    | S_wait_until d -> Engine.wait_until (Engine.now_ () + d - 5)
+    | S_spawn d ->
+      Engine.spawn_ (fun () ->
+          Engine.wait d;
+          note (100 + id))
+    | S_fill k -> ignore (Sync.Ivar.try_fill ivars.(k) () : bool)
+    | S_read k -> Sync.Ivar.read ivars.(k)
+    | S_send k -> Sync.Mailbox.send boxes.(k) ()
+    | S_recv k -> Sync.Mailbox.recv boxes.(k)
+  in
+  if ticker then
+    Engine.spawn eng ~name:"ticker" (fun () ->
+        for _ = 1 to 2_000 do
+          Engine.wait 1
+        done);
+  List.iteri
+    (fun id steps ->
+      Engine.spawn eng (fun () ->
+          List.iter
+            (fun s ->
+              step id s;
+              note id)
+            steps))
+    tasks;
+  List.iter (fun until -> Engine.run eng ~until ()) (List.sort compare windows);
+  Engine.run eng ();
+  List.rev !log
+
+let prop_inline_matches_queue =
+  qtest ~count:300 "inline waits match queued waits" gen_program (fun p ->
+      program_log ~ticker:false p = program_log ~ticker:true p)
 
 (* A task exception that escapes a nested [Engine.run] must leave the
    outer engine as the one [now_] reads. *)
@@ -381,6 +551,11 @@ let suite =
       tc "fusion off is eager" test_fusion_off_is_eager;
       tc "charge nonpositive noop" test_charge_nonpositive_is_noop;
       tc "wait allocation" test_wait_allocation;
+      tc "inline wait allocation" test_inline_wait_allocation;
       tc "suspend allocation" test_suspend_allocation;
       tc "run restores running engine" test_run_restores_running;
+      tc "inline wait queues behind same-time event" test_inline_same_time_pending;
+      tc "inline wait past until resumes" test_inline_wait_past_until;
+      tc "cross-shard spawn refused" test_cross_shard_spawn;
+      prop_inline_matches_queue;
     ] )

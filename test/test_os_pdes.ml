@@ -101,18 +101,46 @@ let test_storm () =
 
 (* A full chaos seed — sharded boot, per-shard fault injectors, failure
    detection, service failover, goodput — is the heaviest cross-shard
-   workload in the tree; its whole result record must not depend on the
-   domain count. *)
+   workload in the tree; its whole result record, and the number of PDES
+   windows it takes (read through the pool's barrier count), must not
+   depend on the domain count. *)
 let test_chaos_seed () =
   let seed = 3 in
-  let reference = with_domains 1 (fun () -> Mk_benches.Chaos.run_seed seed) in
+  let run d =
+    with_domains d (fun () ->
+        let b0 = Pool.total_barriers () in
+        let r = Mk_benches.Chaos.run_seed seed in
+        (r, Pool.total_barriers () - b0))
+  in
+  let reference, ref_barriers = run 1 in
   List.iter
     (fun d ->
-      check_same
-        (Printf.sprintf "chaos seed %d, %d domains" seed d)
-        reference
-        (with_domains d (fun () -> Mk_benches.Chaos.run_seed seed)))
+      let r, barriers = run d in
+      check_same (Printf.sprintf "chaos seed %d, %d domains" seed d) reference r;
+      check_int
+        (Printf.sprintf "chaos seed %d windows, %d domains" seed d)
+        ref_barriers barriers)
     [ 2; 4 ]
+
+(* Starting a monitor's failure detector from a task on another shard
+   spawns onto that shard's engine mid-window, which may be running on
+   another domain. The engine refuses it by name even when every window
+   runs on one domain. *)
+let test_cross_shard_spawn_refused () =
+  with_domains 1 (fun () ->
+      let os = Os.boot ~shards:4 ~measure_latencies:Os.No_measure Platform.amd_4x4 in
+      let sh = Option.get (Os.shard os) in
+      let remote = Shard.first_core sh 1 in
+      match
+        Os.run os (fun () ->
+            Monitor.start_ft
+              (Os.monitor os ~core:remote)
+              ~interval:20_000 ~threshold:4.0
+              ~until:(Engine.now_ () + 100_000)
+              ~on_death:(fun ~core:_ ~at:_ -> ()))
+      with
+      | () -> Alcotest.fail "cross-shard start_ft should raise"
+      | exception Engine.Cross_shard_spawn _ -> ())
 
 (* Any legal (platform, shard count, domain count) triple agrees with its
    own serial execution. *)
@@ -157,6 +185,7 @@ let suite =
       tc "spawn+unmap identical over 4 shards" test_spawn_unmap_4shards;
       tc "shootdown storm identical (4 shards)" test_storm;
       tc "chaos seed identical at any domain count" test_chaos_seed;
+      tc "cross-shard spawn refused" test_cross_shard_spawn_refused;
       prop_any_cut;
       tc "representative vs exhaustive boot" test_representative_vs_exhaustive;
     ] )

@@ -124,6 +124,30 @@ let test_name_service () =
       check_bool "missing name" true (Name_service.lookup ns ~from_core:1 ~name:"nope" = None);
       check_int "registered" 1 (Name_service.registered ns))
 
+(* A same-core call pays its path cost before touching the table, which
+   the server loop also writes: a poller on the home core must first see
+   a remote registration at the same simulated time with latency-charge
+   fusion on as with it off. *)
+let test_name_service_poll_fused () =
+  let first_seen fuse =
+    with_fusion fuse (fun () ->
+        run_os (fun os ->
+            let ns = Os.name_service os in
+            let home = Name_service.home_core ns in
+            Engine.spawn_ (fun () ->
+                Engine.wait 5_000;
+                Name_service.register ns ~from_core:(home + 1) ~name:"late" ~tag:1);
+            let rec poll () =
+              match Name_service.lookup ns ~from_core:home ~name:"late" with
+              | Some _ -> Engine.now_ ()
+              | None ->
+                Engine.wait 50;
+                poll ()
+            in
+            poll ()))
+  in
+  check_int "first seen" (first_seen false) (first_seen true)
+
 let test_flounder_rpc () =
   run_machine (fun m ->
       let b = Flounder.connect m ~name:"doubler" ~client:0 ~server:2 () in
@@ -178,6 +202,7 @@ let suite =
       tc "boot services" test_boot_services;
       tc "spawn domain" test_spawn_domain_dispatchers;
       tc "name service" test_name_service;
+      tc "name service poll fused" test_name_service_poll_fused;
       tc "flounder rpc" test_flounder_rpc;
       tc "latency function" test_latency_function;
       tc "comm profile placement" test_comm_profile_placement;

@@ -30,6 +30,14 @@ let run_os ?(plat = Platform.amd_2x2) ?(measure_latencies = Mk.Os.No_measure) f 
   let os = Mk.Os.boot ~measure_latencies plat in
   Mk.Os.run os (fun () -> f os)
 
+(* Run [f] with latency-charge fusion on or off on this domain, restoring
+   the previous setting afterwards. *)
+let with_fusion on f =
+  let was = Engine.fusion_enabled () in
+  Fun.protect ~finally:(fun () -> Engine.set_fusion was) (fun () ->
+      Engine.set_fusion on;
+      f ())
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
