@@ -19,7 +19,8 @@ let k_dropped = 2
    receive mailbox and is recycled through the channel's [free] list once
    the receiver has read the payload, so steady-state messaging allocates
    nothing per message. [visible_at] rides in the record rather than a
-   (time, delivery) tuple on the wire queue. *)
+   (time, delivery) tuple on the wire queue, and [self] is the record's own
+   freelist link, built once with it, so a release allocates no [Some]. *)
 type 'a delivery = {
   mutable payload : 'a;
   mutable slot_addr : int;
@@ -27,6 +28,7 @@ type 'a delivery = {
   mutable kind : int;
   mutable visible_at : int;
   mutable next_free : 'a delivery option;
+  self : 'a delivery option;
 }
 
 type 'a t = {
@@ -165,11 +167,15 @@ let get_delivery t ~payload ~slot_addr ~lines ~kind ~visible_at =
     d.kind <- kind;
     d.visible_at <- visible_at;
     d
-  | None -> { payload; slot_addr; lines; kind; visible_at; next_free = None }
+  | None ->
+    let rec d =
+      { payload; slot_addr; lines; kind; visible_at; next_free = None; self = Some d }
+    in
+    d
 
 let release_delivery t d =
   d.next_free <- t.free;
-  t.free <- Some d
+  t.free <- d.self
 
 let rec wire_loop t =
   if Queue.is_empty t.wire_q then begin
@@ -227,7 +233,9 @@ let send t ?(lines = 1) payload =
   Engine.charge (send_sw_cost + if t.prefetch then prefetch_latency_penalty else 0);
   (* Ring-position and channel-state updates (sender-local lines: one
      sender task per channel, so these hits fuse into the banked charge). *)
-  Array.iter (fun a -> Coherence.store_local t.m.Machine.coh ~core:t.src a) t.send_ctrl;
+  for i = 0 to Array.length t.send_ctrl - 1 do
+    Coherence.store_local t.m.Machine.coh ~core:t.src t.send_ctrl.(i)
+  done;
   let slot_addr = t.slot_addrs.(t.head) in
   t.head <- (t.head + 1) mod Array.length t.slot_addrs;
   let delay = post_message t ~slot_addr ~lines in
@@ -281,7 +289,9 @@ let charge_receive t (d : 'a delivery) =
       Coherence.load coh ~core:t.dst (d.slot_addr + (i * cl))
     done;
   (* Dispatch-table and waitset updates (receiver-local lines). *)
-  Array.iter (fun a -> Coherence.store_local t.m.Machine.coh ~core:t.dst a) t.recv_ctrl;
+  for i = 0 to Array.length t.recv_ctrl - 1 do
+    Coherence.store_local t.m.Machine.coh ~core:t.dst t.recv_ctrl.(i)
+  done;
   Engine.charge recv_sw_cost;
   t.received <- t.received + 1;
   (* A duplicate redelivers a slot whose flow credit was already returned. *)

@@ -1,11 +1,11 @@
 (** Fixed-capacity mutable bitset over small integers (core ids).
 
     Int-array backed, 32 bits per word: O(1) add/remove/mem with no
-    allocation, sized at creation for the machine's core count (≥128 cores
-    is 4 words). Used by {!Coherence} for cache-line sharer sets, where the
-    previous [int list] representation made hot-path lookups O(sharers)
-    with a cons per insert, and by each monitor's ready set of incoming
-    channels. *)
+    allocation, sized at creation for the capacity it is given (128 cores
+    is 4 words, 1024 cores 32). Holds each monitor's ready set of incoming
+    channels and the coherence sharer sets that spill: a {!Dir_line}
+    keeps up to two sharers inline, and builds a bitset over the core
+    count only when a third core shares it. *)
 
 type t
 

@@ -2,42 +2,18 @@ open Mk_sim
 
 type line_state = Invalid | Shared of int list | Modified of int
 
-(* Internal line state is a small-int tag plus a reusable sharer bitset:
-   no list allocation or O(sharers) scan on the access path, and state
-   transitions recycle the same bitset. The public {!line_state} view
-   converts on demand (tests only). *)
-let tag_invalid = 0
+(* Internal line state is a {!Dir_line} record: a small-int tag plus an
+   inline sharer set, so there is no list allocation or O(sharers) scan on
+   the access path, and no host allocation at all once the line exists.
+   The public {!line_state} view converts on demand (tests only). *)
+type line = Dir_line.t
 
-let tag_shared = 1
-let tag_modified = 2
-
-type line = {
-  mutable tag : int;
-  (* Exclusive owner core when [tag = tag_modified]. *)
-  mutable excl : int;
-  (* Sharer set when [tag = tag_shared]. *)
-  sharers : Bitset.t;
-  mutable home : int;
-  (* MOESI owner (-1 = none): the last writer keeps sourcing data to
-     readers until the line is written again. *)
-  mutable owner : int;
-  (* End of the last owner-sourced transfer of this line: successive reads
-     of one dirty line are serviced one at a time (a single line has a
-     single set of MSHR/response buffers at its owner), which is Figure 6's
-     Broadcast storm. Distinct lines pipeline. *)
-  mutable line_busy_until : int;
-}
+let tag_invalid = Dir_line.tag_invalid
+let tag_shared = Dir_line.tag_shared
+let tag_modified = Dir_line.tag_modified
 
 (* Placeholder for the line table's empty value slots; never returned. *)
-let dummy_line =
-  {
-    tag = tag_invalid;
-    excl = -1;
-    sharers = Bitset.create ~n:1;
-    home = 0;
-    owner = -1;
-    line_busy_until = 0;
-  }
+let dummy_line = Dir_line.create ~home:0
 
 (* Cross-shard routing for a PDES-sharded run: lines pinned to a package
    another shard owns are serviced by that shard's directory, reached via
@@ -59,7 +35,7 @@ type t = {
   (* Home-node pinning as sorted, non-overlapping [first, last] -> node
      ranges: the bump allocator pins whole regions, so per-line entries
      would be wastefully huge. Stored as parallel int arrays so the binary
-     search in [pinned_home_of] touches flat memory, and adjacent
+     search in [pinned_home] touches flat memory, and adjacent
      same-node ranges are merged on insert — the URPC mesh alone would
      otherwise pin hundreds of thousands of one-line ranges. *)
   mutable range_first : int array;
@@ -264,47 +240,39 @@ let set_home t ~line ~node = set_home_range t ~first_line:line ~last_line:line ~
 let set_home_region t ~first_line ~last_line ~node_of =
   t.regions <- (first_line, last_line, node_of) :: t.regions
 
-let pinned_home_of t line =
-  let rec search lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      if line < t.range_first.(mid) then search lo (mid - 1)
-      else if line > t.range_last.(mid) then search (mid + 1) hi
-      else Some t.range_node.(mid)
-    end
-  in
-  match search 0 (t.n_ranges - 1) with
-  | Some _ as r -> r
-  | None ->
-    let rec scan = function
-      | [] -> None
-      | (f, l, fn) :: rest -> if line >= f && line <= l then Some (fn line) else scan rest
-    in
-    scan t.regions
+(* The pinned home node of a line, or -1 when it is unpinned. An int, not
+   an option, and top-level searches rather than local closures: it runs on
+   every first touch and on every sharded blocking access. *)
+let rec range_search t line lo hi =
+  if lo > hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    if line < t.range_first.(mid) then range_search t line lo (mid - 1)
+    else if line > t.range_last.(mid) then range_search t line (mid + 1) hi
+    else t.range_node.(mid)
+  end
+
+let rec region_search line = function
+  | [] -> -1
+  | (f, l, fn) :: rest -> if line >= f && line <= l then fn line else region_search line rest
+
+let pinned_home t line =
+  let node = range_search t line 0 (t.n_ranges - 1) in
+  if node >= 0 then node else region_search line t.regions
 
 let home_of t ~line =
   match Inttbl.find_opt t.lines line with
   | Some l -> Some l.home
-  | None -> pinned_home_of t line
+  | None ->
+    let node = pinned_home t line in
+    if node >= 0 then Some node else None
 
 let get_line t ~core line =
   let l = Inttbl.find_or t.lines line dummy_line in
   if l != dummy_line then l
   else begin
-    let home =
-      match pinned_home_of t line with Some n -> n | None -> t.pkg.(core)
-    in
-    let l =
-      {
-        tag = tag_invalid;
-        excl = -1;
-        sharers = Bitset.create ~n:t.n_cores;
-        home;
-        owner = -1;
-        line_busy_until = 0;
-      }
-    in
+    let node = pinned_home t line in
+    let l = Dir_line.create ~home:(if node >= 0 then node else t.pkg.(core)) in
     Inttbl.set t.lines line l;
     l
   end
@@ -381,8 +349,8 @@ let evict t ~core victim_lid =
       v.owner <- -1
     end
     else if v.tag = tag_shared then begin
-      Bitset.remove v.sharers core;
-      if Bitset.is_empty v.sharers then v.tag <- tag_invalid;
+      Dir_line.remove_sharer ~n:t.n_cores v core;
+      if Dir_line.no_sharers v then v.tag <- tag_invalid;
       if v.owner = core then v.owner <- -1
     end
   end
@@ -459,9 +427,9 @@ let prepare_load t ~core addr =
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_c2c t.counters ~core;
       l.tag <- tag_shared;
-      Bitset.clear l.sharers;
-      Bitset.add l.sharers core;
-      Bitset.add l.sharers o;
+      Dir_line.clear_sharers l;
+      Dir_line.add_sharer ~n:t.n_cores l core;
+      Dir_line.add_sharer ~n:t.n_cores l o;
       if is_local_group t core o then set_local t p.Platform.shared_cache_fetch
       else begin
         let lat = xfer_of t o core + link_extra t t.pkg.(o) t.pkg.(core) in
@@ -472,10 +440,10 @@ let prepare_load t ~core addr =
     end
   end
   else if l.tag = tag_shared then begin
-    if Bitset.mem l.sharers core then set_hit t
+    if Dir_line.mem_sharer ~n:t.n_cores l core then set_hit t
     else begin
       Perfcounter.count_miss t.counters ~core;
-      Bitset.add l.sharers core;
+      Dir_line.add_sharer ~n:t.n_cores l core;
       let o = l.owner in
       if o >= 0 && o <> core && not (is_local_group t core o) then begin
         (* Owned line: the last writer's cache sources the data. *)
@@ -501,11 +469,21 @@ let prepare_load t ~core addr =
     Perfcounter.count_miss t.counters ~core;
     Perfcounter.count_dram t.counters ~core;
     l.tag <- tag_shared;
-    Bitset.clear l.sharers;
-    Bitset.add l.sharers core;
+    Dir_line.clear_sharers l;
+    Dir_line.add_sharer ~n:t.n_cores l core;
     let lat = dram_of t t.pkg.(core) l.home + link_extra t t.pkg.(core) l.home in
     charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
     set_txn t ~home:l.home ~lat ~src_port:(-1) ~ln:dummy_line
+  end
+
+(* A store by [core] drops sharer [c]'s copy: the farthest-transfer bound
+   so far, [far], grows by [c]'s distance unless [c] is the writer or in
+   its share group. *)
+let invalidate_sharer t ~core lid c far =
+  if c = core then far
+  else begin
+    forget t ~core:c lid;
+    if is_local_group t core c then far else Int.max far (xfer_of t c core)
   end
 
 let prepare_store t ~core addr =
@@ -536,7 +514,7 @@ let prepare_store t ~core addr =
     end
   end
   else if l.tag = tag_shared then begin
-    if Bitset.mem l.sharers core && Bitset.cardinal l.sharers = 1 then begin
+    if Dir_line.mem_sharer ~n:t.n_cores l core && Dir_line.n_sharers l = 1 then begin
       (* Silent E->M upgrade. *)
       l.tag <- tag_modified;
       l.excl <- core;
@@ -545,27 +523,23 @@ let prepare_store t ~core addr =
     else begin
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_inval t.counters ~core;
-      (* Single pass over the sharers: drop each remote copy and track the
-         farthest one (invalidation latency is bounded by it). *)
-      let far = ref 0 in
-      Bitset.iter
-        (fun c ->
-          if c <> core then begin
-            forget t ~core:c lid;
-            if not (is_local_group t core c) then begin
-              let lat = xfer_of t c core in
-              if lat > !far then far := lat
-            end
-          end)
-        l.sharers;
+      (* Single pass over the sharers, ascending: drop each remote copy
+         and track the farthest one (invalidation latency is bounded by
+         it). A loop rather than an iterator, so no closure is built. *)
+      let far = ref 0 and c = ref (Dir_line.next_sharer l 0) in
+      while !c >= 0 do
+        far := invalidate_sharer t ~core lid !c !far;
+        c := Dir_line.next_sharer l (!c + 1)
+      done;
+      let far = !far in
       l.tag <- tag_modified;
       l.excl <- core;
-      if !far = 0 then set_local t p.Platform.shared_cache_fetch
+      if far = 0 then set_local t p.Platform.shared_cache_fetch
       else begin
         (* Invalidation probes broadcast across the fabric; latency bounded
            by the farthest sharer. *)
         charge_probe_broadcast t;
-        set_txn t ~home:l.home ~lat:!far ~src_port:(-1) ~ln:dummy_line
+        set_txn t ~home:l.home ~lat:far ~src_port:(-1) ~ln:dummy_line
       end
     end
   end
@@ -665,12 +639,13 @@ let load t ~core addr =
   (match t.remote with
   | Some rr -> (
     let lid = line_of_addr t addr in
-    match pinned_home_of t lid with
-    | Some home when rr.rr_is_remote home ->
+    let home = pinned_home t lid in
+    if home >= 0 && rr.rr_is_remote home then
       remote_blocking rr ~core ~line:lid ~home ~write:false
-    | _ ->
+    else begin
       prepare_load t ~core addr;
-      realize_blocking t)
+      realize_blocking t
+    end)
   | None ->
     prepare_load t ~core addr;
     realize_blocking t)
@@ -685,12 +660,13 @@ let store t ~core addr =
   (match t.remote with
   | Some rr -> (
     let lid = line_of_addr t addr in
-    match pinned_home_of t lid with
-    | Some home when rr.rr_is_remote home ->
+    let home = pinned_home t lid in
+    if home >= 0 && rr.rr_is_remote home then
       remote_blocking rr ~core ~line:lid ~home ~write:true
-    | _ ->
+    else begin
       prepare_store t ~core addr;
-      realize_blocking t)
+      realize_blocking t
+    end)
   | None ->
     prepare_store t ~core addr;
     realize_blocking t)
@@ -732,5 +708,5 @@ let line_state t ~line =
   | None -> Invalid
   | Some l ->
     if l.tag = tag_modified then Modified l.excl
-    else if l.tag = tag_shared then Shared (Bitset.to_list l.sharers)
+    else if l.tag = tag_shared then Shared (Dir_line.sharers l)
     else Invalid

@@ -7,7 +7,10 @@ type t = {
   invalidations : int array;
   link_dwords : (Topology.link, int ref) Hashtbl.t;
   mutable track_footprint : bool;
-  footprint : (int, unit) Hashtbl.t array;
+  (* Per-core distinct-line tables, [[||]] until tracking is first turned
+     on: only Table 3 measures footprints, and a table per core is ~72k
+     words on a 1024-core machine. *)
+  mutable footprint : (int, unit) Hashtbl.t array;
 }
 
 type snap = {
@@ -31,16 +34,17 @@ let create plat =
     invalidations = Array.make n 0;
     link_dwords = Hashtbl.create 16;
     track_footprint = false;
-    footprint = Array.init n (fun _ -> Hashtbl.create 64);
+    footprint = [||];
   }
 
-let bump arr ~core = arr.(core) <- arr.(core) + 1
-let count_load (t : t) = bump t.loads
-let count_store (t : t) = bump t.stores
-let count_miss (t : t) = bump t.dcache_miss
-let count_c2c (t : t) = bump t.c2c_fetch
-let count_dram (t : t) = bump t.dram_fetch
-let count_inval (t : t) = bump t.invalidations
+(* Full arity on purpose: [let count_load t = bump t.loads] would return a
+   closure, and every [count_load c ~core] call would build it afresh. *)
+let count_load (t : t) ~core = t.loads.(core) <- t.loads.(core) + 1
+let count_store (t : t) ~core = t.stores.(core) <- t.stores.(core) + 1
+let count_miss (t : t) ~core = t.dcache_miss.(core) <- t.dcache_miss.(core) + 1
+let count_c2c (t : t) ~core = t.c2c_fetch.(core) <- t.c2c_fetch.(core) + 1
+let count_dram (t : t) ~core = t.dram_fetch.(core) <- t.dram_fetch.(core) + 1
+let count_inval (t : t) ~core = t.invalidations.(core) <- t.invalidations.(core) + 1
 
 let link_counter (t : t) link =
   match Hashtbl.find_opt t.link_dwords link with
@@ -57,11 +61,20 @@ let add_link_dwords (t : t) link n =
 let touch_line (t : t) ~core ~line =
   if t.track_footprint then Hashtbl.replace t.footprint.(core) line ()
 
-let set_footprint_tracking t b = t.track_footprint <- b
+let ensure_footprint (t : t) =
+  if t.footprint == [||] then
+    t.footprint <- Array.init (Array.length t.loads) (fun _ -> Hashtbl.create 64)
 
-let reset_footprint t = Array.iter Hashtbl.reset t.footprint
+let set_footprint_tracking t b =
+  if b then ensure_footprint t;
+  t.track_footprint <- b
 
-let footprint_lines t ~core = Hashtbl.length t.footprint.(core)
+let reset_footprint t =
+  ensure_footprint t;
+  Array.iter Hashtbl.reset t.footprint
+
+let footprint_lines t ~core =
+  if t.footprint == [||] then 0 else Hashtbl.length t.footprint.(core)
 
 let snapshot (t : t) : snap =
   {

@@ -182,6 +182,202 @@ let test_touch_range () =
       let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
       check_int "16 lines written" 16 d.Perfcounter.stores.(0))
 
+(* -- the inline sharer set -- *)
+
+(* Minor words of [f ()], read exactly. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Random sharer-set programs against a reference [Bitset] of the same
+   capacity. Cores come mostly from a four-core pool so adds regularly
+   reach a third sharer (the spill) and removes hit members; [Clear] then
+   lets later adds reuse the spilled bitset. Every observer is compared
+   after every step, and an out-of-range core must raise on both sides. *)
+type sh_op = Add of int | Remove of int | Clear | Mem of int | Next of int
+
+let sh_run n ops =
+  let l = Dir_line.create ~home:0 and r = Bitset.create ~n in
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  List.for_all
+    (fun op ->
+      let step_ok =
+        match op with
+        | Add c when c < 0 || c >= n ->
+          raises (fun () -> Dir_line.add_sharer ~n l c)
+          && raises (fun () -> Bitset.add r c)
+        | Add c ->
+          Dir_line.add_sharer ~n l c;
+          Bitset.add r c;
+          true
+        | Remove c ->
+          Dir_line.remove_sharer ~n l c;
+          Bitset.remove r c;
+          true
+        | Clear ->
+          Dir_line.clear_sharers l;
+          Bitset.clear r;
+          true
+        | Mem c -> Dir_line.mem_sharer ~n l c = Bitset.mem r c
+        | Next i -> Dir_line.next_sharer l i = Bitset.next_member r i
+      in
+      step_ok
+      && Dir_line.n_sharers l = Bitset.cardinal r
+      && Dir_line.no_sharers l = Bitset.is_empty r
+      && Dir_line.sharers l = Bitset.to_list r)
+    ops
+
+let gen_sh_program =
+  QCheck2.Gen.(
+    let* n = oneofl [ 4; 128; 1024 ] in
+    let pool = [ 0; 1; n / 2; n - 1 ] in
+    let core = frequency [ (3, oneofl pool); (1, int_bound (n - 1)) ] in
+    let op =
+      frequency
+        [
+          (6, map (fun c -> Add c) core);
+          (3, map (fun c -> Remove c) core);
+          (1, pure Clear);
+          (2, map (fun c -> Mem c) core);
+          (2, map (fun i -> Next i) (oneof [ core; pure n ]));
+          (1, map (fun c -> Add c) (oneofl [ -1; n ]));
+        ]
+    in
+    pair (pure n) (list_size (int_range 0 40) op))
+
+let qcheck_sharers_vs_bitset =
+  qtest ~count:500 "inline sharers match a reference bitset" gen_sh_program
+    (fun (n, ops) -> sh_run n ops)
+
+(* The spill boundary and bitset reuse, directed: two sharers stay inline
+   (no allocation), a third spills into a bitset over the core count, and
+   after a clear a second spill reuses that bitset (no allocation) with no
+   stale members from the first. *)
+let test_sharers_spill_reuse () =
+  let n = 1024 in
+  let l = Dir_line.create ~home:0 in
+  let add = Dir_line.add_sharer ~n l in
+  let add_all cores () = List.iter add cores in
+  check_bool "two sharers allocate nothing" true (words (add_all [ 900; 5 ]) = 0.);
+  check_bool "inline ascending" true (Dir_line.sharers l = [ 5; 900 ]);
+  check_bool "a third spills into a bitset" true (words (add_all [ 1023 ]) > 0.);
+  check_bool "spilled ascending" true (Dir_line.sharers l = [ 5; 900; 1023 ]);
+  Dir_line.clear_sharers l;
+  check_bool "clear empties" true
+    (Dir_line.no_sharers l && Dir_line.next_sharer l 0 = -1);
+  check_bool "a second spill reuses the bitset" true
+    (words (add_all [ 7; 3; 600 ]) = 0.);
+  check_bool "reused spill has no stale members" true
+    (Dir_line.sharers l = [ 3; 7; 600 ]);
+  check_int "cardinal" 3 (Dir_line.n_sharers l);
+  check_bool "out-of-range add raises" true
+    (match add 1024 with () -> false | exception Invalid_argument _ -> true)
+
+let mesh_1024 () = Platform.synthetic_mesh ~packages:256 ~cores_per_package:4
+
+(* Three sharers spread across a 1024-core mesh, then a store by the middle
+   one: one invalidation, the latency of the farthest sharer's transfer
+   (core 1023: 352 cycles; core 5 is 346) and 1920 dwords of probe
+   broadcast. *)
+let test_sharers_1024_invalidate () =
+  let plat = mesh_1024 () in
+  run_machine ~plat (fun m ->
+      let coh = m.Machine.coh in
+      let a = Machine.alloc_lines m ~node:0 1 in
+      let line = Coherence.line_of_addr coh a in
+      List.iter (fun c -> Coherence.load coh ~core:c a) [ 5; 900; 1023 ];
+      check_bool "Shared [5; 900; 1023]" true
+        (Coherence.line_state coh ~line = Coherence.Shared [ 5; 900; 1023 ]);
+      let before = Perfcounter.snapshot m.Machine.counters in
+      let t0 = Engine.now_ () in
+      Coherence.store coh ~core:900 a;
+      let lat = Engine.now_ () - t0 in
+      let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
+      check_bool "Modified 900" true (Coherence.line_state coh ~line = Coherence.Modified 900);
+      check_int "one invalidation" 1 (Array.fold_left ( + ) 0 d.Perfcounter.invalidations);
+      check_int "charged to the writer" 1 d.Perfcounter.invalidations.(900);
+      let xfer c =
+        plat.Platform.cc_base
+        + (2 * plat.Platform.hop_one_way * Platform.hops_between plat c 900)
+      in
+      check_int "farthest sharer's transfer" (Int.max (xfer 5) (xfer 1023)) lat;
+      check_int "latency" 352 lat;
+      check_int "probe dwords" 1920 (Perfcounter.total_dwords d))
+
+(* -- allocation gates -- *)
+
+let n_ops = 1000
+
+(* Each measured access targets a fresh line of [n_ops + 1] node-0 lines
+   prepared by [setup]; the first one warms the path-counter cache for the
+   core pairs involved. Returns words per access. The accesses run inside
+   a lone task, where a blocking access's wait takes the engine's inline
+   path and allocates nothing itself. *)
+let access_words ~setup ~op =
+  run_machine ~plat:(mesh_1024 ()) (fun m ->
+      let coh = m.Machine.coh in
+      let cl = m.Machine.plat.Platform.cacheline in
+      let base = Machine.alloc_lines m ~node:0 (n_ops + 1) in
+      let addr i = base + (i * cl) in
+      for i = 0 to n_ops do
+        setup coh (addr i)
+      done;
+      op coh (addr 0);
+      words (fun () ->
+          for i = 1 to n_ops do
+            op coh (addr i)
+          done)
+      /. float_of_int n_ops)
+
+let check_zero name w =
+  check_bool (Printf.sprintf "%s: %g words/access = 0" name w) true (w = 0.)
+
+let test_access_allocation () =
+  check_zero "load hit"
+    (access_words
+       ~setup:(fun coh a -> Coherence.load coh ~core:5 a)
+       ~op:(fun coh a -> Coherence.load coh ~core:5 a));
+  check_zero "second-sharer load"
+    (access_words
+       ~setup:(fun coh a -> Coherence.load coh ~core:5 a)
+       ~op:(fun coh a -> Coherence.load coh ~core:900 a));
+  check_zero "invalidating store"
+    (access_words
+       ~setup:(fun coh a ->
+         Coherence.load coh ~core:5 a;
+         Coherence.load coh ~core:900 a)
+       ~op:(fun coh a -> Coherence.store coh ~core:900 a))
+
+(* The counters are full-arity functions: a partial application such as
+   [let count_load t = bump t.loads] builds a closure on every call. *)
+let test_counter_allocation () =
+  run_machine ~plat:(mesh_1024 ()) (fun m ->
+      let c = m.Machine.counters in
+      let w =
+        words (fun () ->
+            for core = 0 to 1023 do
+              Perfcounter.count_load c ~core;
+              Perfcounter.count_store c ~core;
+              Perfcounter.count_miss c ~core;
+              Perfcounter.count_c2c c ~core;
+              Perfcounter.count_dram c ~core;
+              Perfcounter.count_inval c ~core
+            done)
+      in
+      check_bool (Printf.sprintf "count_*: %g words = 0" w) true (w = 0.))
+
+(* A first touch allocates the line record (nine fields and a header) and
+   nothing else. The first line warms the core/home path-counter cache. *)
+let test_first_touch_allocation () =
+  run_machine ~plat:(mesh_1024 ()) (fun m ->
+      let coh = m.Machine.coh in
+      let a = Machine.alloc_lines m ~node:0 2 in
+      Coherence.load coh ~core:5 a;
+      let cl = m.Machine.plat.Platform.cacheline in
+      let w = words (fun () -> Coherence.load coh ~core:5 (a + cl)) in
+      check_bool (Printf.sprintf "first touch: %g words = 10" w) true (w = 10.))
+
 let suite =
   ( "coherence",
     [
@@ -197,4 +393,10 @@ let suite =
       tc "local traffic free" test_local_traffic_free;
       tc "read storm serializes" test_read_storm_serializes;
       tc "touch range" test_touch_range;
+      qcheck_sharers_vs_bitset;
+      tc "sharer spill and reuse" test_sharers_spill_reuse;
+      tc "1024-core invalidation" test_sharers_1024_invalidate;
+      tc "access allocation" test_access_allocation;
+      tc "counter allocation" test_counter_allocation;
+      tc "first-touch allocation" test_first_touch_allocation;
     ] )

@@ -129,6 +129,36 @@ let test_broadcast () =
          | _ -> false
          | exception Invalid_argument _ -> true))
 
+(* Minor words of 1000 ping-pong round trips on a warm channel pair, read
+   exactly: 116,120, i.e. 58 per message, all of it the suspend and wake
+   of the blocked tasks. The control-line updates and the delivery
+   freelist allocate nothing. *)
+let test_round_trip_allocation () =
+  let n = 1000 in
+  let w =
+    run_machine (fun m ->
+        let ab = Urpc.create m ~sender:0 ~receiver:2 () in
+        let ba = Urpc.create m ~sender:2 ~receiver:0 () in
+        Engine.spawn_ (fun () ->
+            while true do
+              Urpc.send ba (Urpc.recv ab + 1)
+            done);
+        for i = 1 to 10 do
+          Urpc.send ab i;
+          ignore (Urpc.recv ba : int)
+        done;
+        let w0 = Gc.minor_words () in
+        for i = 1 to n do
+          Urpc.send ab i;
+          ignore (Urpc.recv ba : int)
+        done;
+        Gc.minor_words () -. w0)
+  in
+  let per_msg = w /. float_of_int (2 * n) in
+  check_bool
+    (Printf.sprintf "%.0f words over %d round trips (%.2f/msg) <= 116120" w n per_msg)
+    true (w <= 116_120.)
+
 let suite =
   ( "urpc",
     [
@@ -141,4 +171,5 @@ let suite =
       tc "multiline cost" test_multiline_message_costs_more;
       tc "recv_blocking wakeup" test_recv_blocking_wakeup_charge;
       tc "broadcast" test_broadcast;
+      tc "round-trip allocation" test_round_trip_allocation;
     ] )
